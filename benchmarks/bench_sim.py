@@ -9,8 +9,12 @@ claims of the PR-10 simulator rewrite:
   :mod:`repro.sim.link` against a frozen copy of the seed's iterative
   O(N²) fill, at 10/100/1000 flows.  Gate: >= 5x faster at 1000 flows.
 * **link_churn** — end-to-end transmit/complete cycles through the live
-  link (allocation + wake-timer management + completion delivery) at
-  10/100/1000 concurrent flows.
+  virtual-time link (allocation + wake-timer management + completion
+  delivery) at 10/100/1000 and 10,000 concurrent flows, and through the
+  frozen prefix-fill link (``tests/sim/prefix_fill_link.py``) at 1000
+  flows in the same run.  Gates: the virtual-time link moves >= 10x the
+  prefix-fill link's transfers/s at 1000 flows, and the 10,000-flow row
+  finishes under a wall ceiling.
 * **fleet** — a 1000-flow open-loop fleet run
   (:class:`~repro.sim.fleet.FleetArrivalSpec`, softmax-modulated
   arrivals) under every allocation policy.  Gate: each arm completes
@@ -35,6 +39,7 @@ import platform
 import random
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.data.corpus import Compressibility
@@ -46,6 +51,9 @@ from repro.sim import (
     run_fleet_scenario,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.sim.prefix_fill_link import PrefixFillLink  # noqa: E402
+
 FLOW_COUNTS = (10, 100, 1000)
 POLICIES = (None, "fair-share", "greedy-throughput", "hill-climb")
 
@@ -56,6 +64,15 @@ POLICIES = (None, "fair-share", "greedy-throughput", "hill-climb")
 FLEET_WALL_CEILING_S = 30.0
 ALLOCATOR_SPEEDUP_FLOOR = 5.0
 ALLOCATOR_GATE_FLOWS = 1000
+#: Virtual-time vs prefix-fill link, transfers/s through the live link.
+CHURN_SPEEDUP_FLOOR = 10.0
+CHURN_GATE_FLOWS = 1000
+#: The prefix-fill link costs ~1 ms per event at 1000 flows: a couple of
+#: cycles per flow give a stable rate without minutes of wall time.
+REFERENCE_CHURN_CYCLES = 2
+#: Largest churn row, virtual-time link only, and its wall ceiling.
+CHURN_SCALE_FLOWS = 10_000
+CHURN_SCALE_WALL_CEILING_S = 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +205,13 @@ def bench_allocator(repeats: int) -> List[dict]:
     return rows
 
 
-def bench_link_churn(cycles: int) -> List[dict]:
+def bench_link_churn(cycles: int, counts=FLOW_COUNTS, link_cls=SharedLink) -> List[dict]:
     """End-to-end transmit/complete cycles with N concurrent flows."""
     rows = []
-    for n in FLOW_COUNTS:
+    for n in counts:
         rng = random.Random(2000 + n)
         env = Environment()
-        link = SharedLink(env, capacity=1000.0)
+        link = link_cls(env, capacity=1000.0)
         flows = [
             link.open_flow(
                 f"f{i}",
@@ -218,6 +235,7 @@ def bench_link_churn(cycles: int) -> List[dict]:
         seconds = time.perf_counter() - t0
         rows.append(
             {
+                "link": link_cls.__name__,
                 "flows": n,
                 "transfers": transfers,
                 "seconds": seconds,
@@ -299,12 +317,27 @@ def check_gate(payload: dict) -> List[str]:
                 f"{row['wall_seconds']:.1f}s wall "
                 f"(ceiling {FLEET_WALL_CEILING_S:.0f}s)"
             )
-    for row in payload["link_churn"]:
+    churn = payload["link_churn"]
+    for row in churn + payload["link_churn_reference"]:
         if row["pending_after_drain"] != 0:
             failures.append(
-                f"link_churn at {row['flows']} flows left "
+                f"link_churn/{row['link']} at {row['flows']} flows left "
                 f"{row['pending_after_drain']} pending events (heap leak)"
             )
+    speedup = payload["link_churn_speedup"]
+    if speedup < CHURN_SPEEDUP_FLOOR:
+        failures.append(
+            f"link_churn at {CHURN_GATE_FLOWS} flows only {speedup:.1f}x the "
+            f"prefix-fill link's transfers/s (floor {CHURN_SPEEDUP_FLOOR:.0f}x)"
+        )
+    scale_row = next((r for r in churn if r["flows"] == CHURN_SCALE_FLOWS), None)
+    if scale_row is None:
+        failures.append(f"no link_churn row at {CHURN_SCALE_FLOWS} flows")
+    elif scale_row["seconds"] > CHURN_SCALE_WALL_CEILING_S:
+        failures.append(
+            f"link_churn at {CHURN_SCALE_FLOWS} flows took "
+            f"{scale_row['seconds']:.1f}s wall (ceiling {CHURN_SCALE_WALL_CEILING_S:.0f}s)"
+        )
     return failures
 
 
@@ -343,14 +376,28 @@ def main(argv=None) -> int:
         },
         "engine": bench_engine(n_events),
         "allocator": bench_allocator(repeats),
-        "link_churn": bench_link_churn(churn_cycles),
+        "link_churn": bench_link_churn(churn_cycles, FLOW_COUNTS + (CHURN_SCALE_FLOWS,)),
+        "link_churn_reference": bench_link_churn(
+            REFERENCE_CHURN_CYCLES, (CHURN_GATE_FLOWS,), PrefixFillLink
+        ),
         "fleet": bench_fleet(fleet_flows),
         "gates": {
             "allocator_speedup_floor": ALLOCATOR_SPEEDUP_FLOOR,
             "allocator_gate_flows": ALLOCATOR_GATE_FLOWS,
             "fleet_wall_ceiling_s": FLEET_WALL_CEILING_S,
+            "churn_speedup_floor": CHURN_SPEEDUP_FLOOR,
+            "churn_gate_flows": CHURN_GATE_FLOWS,
+            "churn_scale_flows": CHURN_SCALE_FLOWS,
+            "churn_scale_wall_ceiling_s": CHURN_SCALE_WALL_CEILING_S,
         },
     }
+    new_row = next(r for r in payload["link_churn"] if r["flows"] == CHURN_GATE_FLOWS)
+    (ref_row,) = payload["link_churn_reference"]
+    payload["link_churn_speedup"] = (
+        new_row["transfers_per_sec"] / ref_row["transfers_per_sec"]
+        if ref_row["transfers_per_sec"]
+        else float("inf")
+    )
 
     eng = payload["engine"]
     print(f"  engine: {eng['events_per_sec']:,.0f} events/s")
@@ -361,11 +408,15 @@ def main(argv=None) -> int:
             f"{row['new_us_per_fill']:.1f}us per fill "
             f"({row['speedup']:.1f}x)"
         )
-    for row in payload["link_churn"]:
+    for row in payload["link_churn"] + payload["link_churn_reference"]:
         print(
-            f"  link_churn/{row['flows']} flows: "
-            f"{row['transfers_per_sec']:,.0f} transfers/s"
+            f"  link_churn/{row['link']}/{row['flows']} flows: "
+            f"{row['transfers_per_sec']:,.0f} transfers/s ({row['seconds']:.1f}s)"
         )
+    print(
+        f"  link_churn at {CHURN_GATE_FLOWS} flows: "
+        f"{payload['link_churn_speedup']:.1f}x the prefix-fill link"
+    )
 
     with open(args.out, "w") as fp:
         json.dump(payload, fp, indent=2)

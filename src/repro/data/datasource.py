@@ -7,6 +7,11 @@ to the network channel until a total data volume of 50 GB was generated"
 I/O path (they emit bytes) and the simulator (they also expose the
 compressibility class of the bytes they would emit, so the simulator's
 codec model can price them without materializing 50 GB).
+
+Corpus-backed sources fetch their payload on the first :meth:`read`:
+the simulator only calls :meth:`~DataSource.skip` and
+:meth:`~DataSource.class_at`, so a simulated transfer never generates
+a payload at all.
 """
 
 from __future__ import annotations
@@ -58,19 +63,31 @@ class DataSource(abc.ABC):
 
 
 class RepeatingSource(DataSource):
-    """Repeat one payload until ``total_bytes`` have been produced."""
+    """Repeat one payload until ``total_bytes`` have been produced.
+
+    Built with :meth:`from_corpus` (or with ``payload=None`` and a
+    ``corpus``), the source holds the corpus and the class and fetches
+    the payload on the first :meth:`read`, so a simulator that only
+    skips through the source never generates it.
+    """
 
     def __init__(
         self,
-        payload: bytes,
+        payload: Optional[bytes],
         total_bytes: int,
         compressibility: Compressibility,
+        *,
+        corpus: Optional[SyntheticCorpus] = None,
     ) -> None:
-        if not payload:
+        if payload is None:
+            if corpus is None:
+                raise ValueError("need a payload or a corpus to take it from")
+        elif not payload:
             raise ValueError("payload must be non-empty")
         if total_bytes < 0:
             raise ValueError("total_bytes must be >= 0")
         self._payload = payload
+        self._corpus = corpus
         self._total = total_bytes
         self._pos = 0
         self._compressibility = compressibility
@@ -82,8 +99,7 @@ class RepeatingSource(DataSource):
         total_bytes: int,
         corpus: Optional[SyntheticCorpus] = None,
     ) -> "RepeatingSource":
-        corpus = corpus or SyntheticCorpus()
-        return cls(corpus.payload(compressibility), total_bytes, compressibility)
+        return cls(None, total_bytes, compressibility, corpus=corpus or SyntheticCorpus())
 
     @property
     def total_bytes(self) -> int:
@@ -109,12 +125,15 @@ class RepeatingSource(DataSource):
         n = min(n, self._total - self._pos)
         if n <= 0:
             return b""
+        payload = self._payload
+        if payload is None:
+            payload = self._payload = self._corpus.payload(self._compressibility)
         out = bytearray()
-        plen = len(self._payload)
+        plen = len(payload)
         while len(out) < n:
             start = self._pos % plen
             take = min(plen - start, n - len(out))
-            out.extend(self._payload[start : start + take])
+            out.extend(payload[start : start + take])
             self._pos += take
         return bytes(out)
 

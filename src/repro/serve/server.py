@@ -972,12 +972,23 @@ class TransferServer:
         executor reports a broken worker.  The detail dict carries the
         individual verdicts plus the suppressed-error tallies so a
         probe failure is diagnosable from the probe body alone.
+        ``state`` is the lifecycle in one word, derived from the same
+        snapshot as ``live``: ``serving``, ``draining`` (drain or stop
+        requested, loop still running) or ``stopped`` (loop not running:
+        not started yet, or exited for good).
         """
         codec = self.codec_stats()
         broken = any(s.get("broken") for s in codec["executors"])
         live = self._running.is_set() and not self._finished.is_set()
         ready = live and not self._draining and not self._closed and not broken
+        if not live:
+            state = "stopped"
+        elif self._draining or self._stop_now or self._closed:
+            state = "draining"
+        else:
+            state = "serving"
         return ready, {
+            "state": state,
             "ready": ready,
             "live": live,
             "draining": self._draining,

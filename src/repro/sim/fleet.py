@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..control import AllocationPolicy, Assignment, FleetController, make_policy
-from ..data.corpus import Compressibility, SyntheticCorpus
+from ..data.corpus import Compressibility
 from ..data.datasource import RepeatingSource
 from ..schemes.base import CompressionScheme, EpochObservation
 from ..schemes.managed import ManagedScheme
@@ -307,10 +307,6 @@ def run_fleet_scenario(
 
         completions: Dict[int, float] = {}
         results: Dict[int, TransferResult] = {}
-        # One corpus for the whole fleet: payload generation is the
-        # expensive part and is identical across flows of one class, so
-        # open-loop runs spawning hundreds of flows must share the cache.
-        corpus = SyntheticCorpus()
         done = env.event()
         state = {"finished": 0, "live": 0, "peak": 0, "spawned": 0}
 
@@ -344,9 +340,7 @@ def run_fleet_scenario(
             started[i] = env.now
             weights[i] = 1.0
             live[i] = True
-            source = RepeatingSource.from_corpus(
-                spec.compressibility, spec.total_bytes, corpus
-            )
+            source = RepeatingSource.from_corpus(spec.compressibility, spec.total_bytes)
             sims[i] = TransferSim(
                 env,
                 link,

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.codecs import (
     Bz2Codec,
@@ -13,6 +16,13 @@ from repro.codecs import (
     RleCodec,
 )
 from repro.data import Compressibility, SyntheticCorpus
+
+# ``HYPOTHESIS_PROFILE=ci`` draws the same examples on every run and
+# prints a reproduction blob on failure, so a gate that passed once
+# passes again on the same tree.  The default profile keeps searching
+# with fresh random seeds.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -180,6 +180,7 @@ class TestHealthz:
         assert status == 200
         detail = json.loads(body)
         assert detail["ready"] and detail["live"] and not detail["draining"]
+        assert detail["state"] == "serving"
 
         sock = _open_raw_flow(server)  # keeps the drain pending
         try:
@@ -191,12 +192,18 @@ class TestHealthz:
             status, body = _request(admin, "/healthz")
             detail = json.loads(body)
             assert detail["draining"] and not detail["ready"]
+            assert detail["state"] == "draining"
             assert detail["live"]  # still serving the last flow
             assert detail["active_flows"] == 1
         finally:
             sock.close()
-        assert _settle(lambda: _request(admin, "/healthz")[0] == 503)
-        detail = json.loads(_request(admin, "/healthz")[1])
+        # 503 already holds while draining: wait for the loop to exit.
+        assert _settle(
+            lambda: json.loads(_request(admin, "/healthz")[1])["state"] == "stopped"
+        )
+        status, body = _request(admin, "/healthz")
+        detail = json.loads(body)
+        assert status == 503
         assert not detail["live"]  # loop exited after the drain emptied
 
     def test_healthz_carries_internal_error_tally(self, server, admin):
