@@ -15,11 +15,19 @@ claims of the PR-10 simulator rewrite:
   flows in the same run.  Gates: the virtual-time link moves >= 10x the
   prefix-fill link's transfers/s at 1000 flows, and the 10,000-flow row
   finishes under a wall ceiling.
-* **fleet** — a 1000-flow open-loop fleet run
+* **fleet_scale** — one 1000-flow open-loop uncontrolled fleet
   (:class:`~repro.sim.fleet.FleetArrivalSpec`, softmax-modulated
-  arrivals) under every allocation policy.  Gate: each arm completes
-  under a hard wall-clock ceiling, so thousand-flow scenarios stay in
-  CI budget.
+  arrivals) of short flows.  Gate: it completes under a hard wall-clock
+  ceiling, so thousand-flow scenarios stay in CI budget.
+* **fleet_control** — the long-flow shape the repository benchmark's
+  ``sim-fleet`` workload uses (200 flows of 64 MiB, ``cores=2``,
+  arrivals every 5 s around a live target of 70), long and CPU-bound
+  enough for Algorithm 1 to probe and the controller to act, under
+  every policy at seeds 1, 2 and 9001.  Gate: the ext-control shape —
+  greedy-throughput's aggregate goodput beats uncontrolled's and
+  fair-share's equals it exactly, at every seed.  Each controlled arm's
+  wall time is also reported as a multiple of the uncontrolled arm's
+  (no gate: it is the controller's own overhead).
 
 Results go to ``BENCH_sim.json``; ``--quick`` is the CI mode (smaller
 engine/churn passes, same 10/100/1000 axis, gates enforced).
@@ -57,11 +65,17 @@ from tests.sim.prefix_fill_link import PrefixFillLink  # noqa: E402
 FLOW_COUNTS = (10, 100, 1000)
 POLICIES = (None, "fair-share", "greedy-throughput", "hill-climb")
 
-#: Hard CI budget per 1000-flow fleet arm.  Measured ~1.3 s on a dev
-#: container; the ceiling leaves >20x headroom for slow shared runners
+#: Hard CI budget for the 1000-flow fleet.  Measured ~0.1 s on a 2-vCPU
+#: container; the ceiling leaves wide headroom for slow shared runners
 #: while still catching a return to the seed's quadratic link work
 #: (which did not finish in CI budget at all).
 FLEET_WALL_CEILING_S = 30.0
+FLEET_SCALE_FLOWS = 1000
+#: The long-flow fleet shape (``perfbench`` sim-fleet's): flows this
+#: big outlive many epochs, so the policies' decisions show in makespan.
+CONTROL_FLOWS = 200
+CONTROL_FLOW_BYTES = 64 * 2**20
+CONTROL_SEEDS = (1, 2, 9001)
 ALLOCATOR_SPEEDUP_FLOOR = 5.0
 ALLOCATOR_GATE_FLOWS = 1000
 #: Virtual-time vs prefix-fill link, transfers/s through the live link.
@@ -247,8 +261,23 @@ def bench_link_churn(cycles: int, counts=FLOW_COUNTS, link_cls=SharedLink) -> Li
     return rows
 
 
-def bench_fleet(total_flows: int) -> List[dict]:
-    """Open-loop 1000-flow fleet under every allocation policy."""
+def _fleet_row(res, **extra) -> dict:
+    return {
+        **extra,
+        "policy": res.policy or "uncontrolled",
+        "total_flows": res.flows_spawned,
+        "peak_live": res.peak_live,
+        "makespan_sim_s": res.makespan,
+        "wall_seconds": res.wall_seconds,
+        "events_processed": res.events_processed,
+        "events_per_sec": res.events_per_second,
+        "aggregate_goodput": res.aggregate_goodput,
+        "rebalances": res.rebalances,
+    }
+
+
+def bench_fleet_scale(total_flows: int) -> dict:
+    """Open-loop 1000-flow fleet of short flows, uncontrolled."""
     specs = [
         FleetFlowSpec("hi", Compressibility.HIGH, 8_000_000),
         FleetFlowSpec("mod", Compressibility.MODERATE, 6_000_000),
@@ -261,34 +290,49 @@ def bench_fleet(total_flows: int) -> List[dict]:
         swing=20.0,
         period=600.0,
     )
+    res = run_fleet_scenario(specs, arrivals=arrivals, seed=42, epoch_seconds=2.0, cores=8.0)
+    print(
+        f"  fleet_scale: {res.flows_spawned} flows (peak {res.peak_live} live) in "
+        f"{res.wall_seconds:.2f}s wall, {res.events_processed} events",
+        flush=True,
+    )
+    return _fleet_row(res)
+
+
+def bench_fleet_control(seeds=CONTROL_SEEDS) -> List[dict]:
+    """The long-flow fleet under every policy, per seed.
+
+    The seed shuffles the 12 flow templates (4 per compressibility
+    class) and seeds the simulator's streams.
+    """
+    arrivals = FleetArrivalSpec(
+        total_flows=CONTROL_FLOWS, interval=5.0, mean=70.0, swing=35.0
+    )
     rows = []
-    for policy in POLICIES:
-        res = run_fleet_scenario(
-            specs,
-            arrivals=arrivals,
-            policy=policy,
-            seed=42,
-            epoch_seconds=2.0,
-            cores=8.0,
-        )
-        rows.append(
-            {
-                "policy": policy or "uncontrolled",
-                "total_flows": res.flows_spawned,
-                "peak_live": res.peak_live,
-                "makespan_sim_s": res.makespan,
-                "wall_seconds": res.wall_seconds,
-                "events_processed": res.events_processed,
-                "events_per_sec": res.events_per_second,
-                "aggregate_goodput": res.aggregate_goodput,
-            }
-        )
-        print(
-            f"  fleet/{policy or 'uncontrolled'}: "
-            f"{res.flows_spawned} flows (peak {res.peak_live} live) in "
-            f"{res.wall_seconds:.2f}s wall, {res.events_processed} events",
-            flush=True,
-        )
+    for seed in seeds:
+        classes = [c for c in Compressibility for _ in range(4)]
+        random.Random(seed).shuffle(classes)
+        specs = [
+            FleetFlowSpec(f"f{i}-{c.name}", c, CONTROL_FLOW_BYTES)
+            for i, c in enumerate(classes)
+        ]
+        base_wall = None
+        for policy in POLICIES:
+            res = run_fleet_scenario(
+                specs, arrivals=arrivals, policy=policy, seed=seed, cores=2.0
+            )
+            if base_wall is None:
+                base_wall = res.wall_seconds
+            row = _fleet_row(res, seed=seed)
+            row["wall_vs_uncontrolled"] = res.wall_seconds / base_wall if base_wall else 0.0
+            rows.append(row)
+            print(
+                f"  fleet_control/seed {seed}/{row['policy']}: makespan "
+                f"{res.makespan:.2f}s, goodput {res.aggregate_goodput / 1e6:.1f} MB/s, "
+                f"{res.rebalances} rebalances, {res.wall_seconds:.2f}s wall "
+                f"({row['wall_vs_uncontrolled']:.2f}x uncontrolled)",
+                flush=True,
+            )
     return rows
 
 
@@ -310,12 +354,29 @@ def check_gate(payload: dict) -> List[str]:
             f"{gate_row['speedup']:.1f}x faster than the seed fill "
             f"(floor {ALLOCATOR_SPEEDUP_FLOOR:.0f}x)"
         )
-    for row in payload["fleet"]:
-        if row["wall_seconds"] > FLEET_WALL_CEILING_S:
+    scale = payload["fleet_scale"]
+    if scale["wall_seconds"] > FLEET_WALL_CEILING_S:
+        failures.append(
+            f"fleet_scale: {scale['total_flows']}-flow run took "
+            f"{scale['wall_seconds']:.1f}s wall (ceiling {FLEET_WALL_CEILING_S:.0f}s)"
+        )
+    for seed in sorted({r["seed"] for r in payload["fleet_control"]}):
+        goodput = {
+            r["policy"]: r["aggregate_goodput"]
+            for r in payload["fleet_control"]
+            if r["seed"] == seed
+        }
+        base = goodput["uncontrolled"]
+        if not goodput["greedy-throughput"] > base:
             failures.append(
-                f"fleet/{row['policy']}: {row['total_flows']}-flow run took "
-                f"{row['wall_seconds']:.1f}s wall "
-                f"(ceiling {FLEET_WALL_CEILING_S:.0f}s)"
+                f"fleet_control/seed {seed}: greedy-throughput goodput "
+                f"{goodput['greedy-throughput']:.0f} B/s does not beat "
+                f"uncontrolled {base:.0f} B/s"
+            )
+        if goodput["fair-share"] != base:
+            failures.append(
+                f"fleet_control/seed {seed}: fair-share goodput "
+                f"{goodput['fair-share']:.0f} B/s != uncontrolled {base:.0f} B/s"
             )
     churn = payload["link_churn"]
     for row in churn + payload["link_churn_reference"]:
@@ -360,11 +421,10 @@ def main(argv=None) -> int:
         n_events = 200_000
         repeats = args.repeats or 20
         churn_cycles = 50
-    fleet_flows = 1000  # the headline claim is always measured at scale
 
     print(
         f"sim benchmark: engine {n_events} events, allocator repeats={repeats}, "
-        f"fleet {fleet_flows} flows",
+        f"fleet {FLEET_SCALE_FLOWS} flows",
         flush=True,
     )
     payload = {
@@ -380,11 +440,13 @@ def main(argv=None) -> int:
         "link_churn_reference": bench_link_churn(
             REFERENCE_CHURN_CYCLES, (CHURN_GATE_FLOWS,), PrefixFillLink
         ),
-        "fleet": bench_fleet(fleet_flows),
+        "fleet_scale": bench_fleet_scale(FLEET_SCALE_FLOWS),
+        "fleet_control": bench_fleet_control(),
         "gates": {
             "allocator_speedup_floor": ALLOCATOR_SPEEDUP_FLOOR,
             "allocator_gate_flows": ALLOCATOR_GATE_FLOWS,
             "fleet_wall_ceiling_s": FLEET_WALL_CEILING_S,
+            "fleet_control_seeds": list(CONTROL_SEEDS),
             "churn_speedup_floor": CHURN_SPEEDUP_FLOOR,
             "churn_gate_flows": CHURN_GATE_FLOWS,
             "churn_scale_flows": CHURN_SCALE_FLOWS,

@@ -374,18 +374,23 @@ class _DevNull:
         return n
 
 
-def _pipeline_pass(data: bytes, workers: int, block_size: int, codec) -> float:
-    """Seconds to push ``data`` through the encoder at ``workers``."""
+def _pipeline_pass(
+    data: bytes, workers: int, block_size: int, codec
+) -> Tuple[float, float]:
+    """(wall seconds, process CPU seconds) to push ``data`` through the
+    encoder at ``workers``."""
     sink = _DevNull()
     encoder = make_block_encoder(sink, workers=workers)
+    c0 = time.process_time()
     t0 = time.perf_counter()
     with memoryview(data) as view:
         for offset in range(0, len(data), block_size):
             encoder.write_block(view[offset : offset + block_size], codec)
         encoder.flush()
     elapsed = time.perf_counter() - t0
+    cpu = time.process_time() - c0
     encoder.close()
-    return elapsed
+    return elapsed, cpu
 
 
 def run_pipeline(
@@ -397,8 +402,11 @@ def run_pipeline(
     threads, so the speed checks are machine-dependent: on a single
     core the pipeline *cannot* be faster than serial (there is nothing
     to overlap with), and we only require that its overhead stays
-    bounded.  The byte-identity check is unconditional — it is the wire
-    -format contract the whole design rests on.
+    bounded.  Which bound applies is decided by the parallelism the
+    ``workers`` pass actually got (process CPU ÷ wall), not by the
+    cores the process may run on: a visible core that a neighbour keeps
+    busy adds nothing.  The byte-identity check is unconditional — it
+    is the wire-format contract the whole design rests on.
     """
     if workers < 2:
         raise ValueError("workers must be >= 2 (1 is the serial baseline)")
@@ -424,21 +432,25 @@ def run_pipeline(
     identical = streams[0] == streams[1]
 
     worker_counts = tuple(sorted({1, 2, workers}))
-    seconds: Dict[int, float] = {
+    # Best (lowest-wall) pass per worker count, with its CPU seconds.
+    best: Dict[int, Tuple[float, float]] = {
         w: min(_pipeline_pass(data, w, block_size, codec) for _ in range(repeats))
         for w in worker_counts
     }
+    seconds = {w: wall for w, (wall, _) in best.items()}
+    parallelism = {w: cpu / wall if wall > 0 else 0.0 for w, (wall, cpu) in best.items()}
     throughput = {w: total / s / 1e6 for w, s in seconds.items()}
     rows = [
         [f"{w} worker{'s' if w > 1 else ''}", f"{seconds[w]:.3f}",
-         f"{throughput[w]:.1f}", f"{seconds[1] / seconds[w]:.2f}x"]
+         f"{throughput[w]:.1f}", f"{seconds[1] / seconds[w]:.2f}x",
+         f"{parallelism[w]:.2f}"]
         for w in worker_counts
     ]
     rendered = format_table(
-        ["encoder", "best of runs (s)", "MB/s", "speedup"],
+        ["encoder", "best of runs (s)", "MB/s", "speedup", "CPU/wall"],
         rows,
         title=f"bz2 pipeline over {total / 2**20:.0f} MiB MODERATE data "
-        f"({cores} usable core{'s' if cores != 1 else ''})",
+        f"({cores} visible core{'s' if cores != 1 else ''})",
     )
 
     checks: List[str] = []
@@ -452,12 +464,13 @@ def run_pipeline(
         )
     )
     speedup = seconds[1] / seconds[workers]
-    if cores >= 2:
+    got = parallelism[workers]
+    if got > 1.5:
         checks.append(
             check(
                 speedup >= 0.95,
-                f"with {cores} cores, {workers} workers do not lose to serial "
-                f"({speedup:.2f}x)",
+                f"with {got:.2f} cores' worth of CPU, {workers} workers do not "
+                f"lose to serial ({speedup:.2f}x)",
                 failures,
             )
         )
@@ -465,8 +478,9 @@ def run_pipeline(
         checks.append(
             check(
                 speedup >= 0.60,
-                "on a single core the pipeline's overhead stays bounded "
-                f"({speedup:.2f}x of serial; parallel speedup needs >1 core)",
+                f"on about one core ({workers} workers got {got:.2f}x CPU/wall) "
+                f"the pipeline's overhead stays bounded ({speedup:.2f}x of "
+                "serial; parallel speedup needs >1 core)",
                 failures,
             )
         )
@@ -481,6 +495,7 @@ def run_pipeline(
             "cores": cores,
             "identical": identical,
             "seconds": {str(w): s for w, s in seconds.items()},
+            "parallelism": {str(w): p for w, p in parallelism.items()},
             "throughput_mbps": {str(w): t for w, t in throughput.items()},
         },
     )

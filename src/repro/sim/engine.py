@@ -23,6 +23,9 @@ Design notes
 * :meth:`Environment.run` also accepts an :class:`Event` as the stop
   condition, which is how fleet harnesses wait for "all N flows done"
   without polling the process list.
+* :meth:`Environment.close` discards whatever is still queued when a
+  harness is done with a run, so the run's objects are freed by
+  reference counting rather than left in cycles for the gc.
 """
 
 from __future__ import annotations
@@ -308,6 +311,22 @@ class Environment:
         if until_time is not None and until_time > self._now:
             self._now = until_time
         return self._now
+
+    def close(self) -> None:
+        """Discard every pending event without running it.
+
+        Each heap entry's callbacks are dropped, so processes suspended
+        on those events never resume, and the ``Environment ↔ event``
+        reference cycles the heap forms are broken: once the caller
+        lets go of the environment, reference counting frees it and
+        everything its processes held, with no cyclic-gc pass.  Call it
+        when a simulation is finished (``run(until=event)`` returns with
+        timers still queued); :attr:`pending_events` is 0 afterwards.
+        """
+        for _, _, event in self._heap:
+            event.callbacks = []
+        self._heap.clear()
+        self._n_cancelled = 0
 
     def run_process(self, generator: Generator[Event, Any, Any], name: str = "") -> Any:
         """Convenience: run a single process to completion, return its value."""

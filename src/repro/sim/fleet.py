@@ -18,9 +18,11 @@ layer uses, against simulated time:
   (the sim equivalent of the serve layer's ``FlowRates`` events);
 * a clocked process calls ``on_tick`` every ``control_interval``;
 * the actuator maps assignments onto the simulator's knobs — level
-  pins via :class:`~repro.schemes.managed.ManagedScheme` and CPU-share
-  reallocation via :attr:`~repro.sim.transfer.TransferSim.cpu_share`
-  (``share_i = min(1, cores * w_i / Σ w_j)`` over live flows).
+  pins via :class:`~repro.schemes.managed.ManagedScheme` and weights
+  for CPU-share reallocation via
+  :attr:`~repro.sim.transfer.TransferSim.cpu_share`
+  (``share_i = min(1, cores * w_i / Σ w_j)`` over live flows), which is
+  recomputed once per control pass, arrival burst or flow finish.
 
 The uncontrolled baseline splits the CPU budget evenly across live
 flows — exactly what an OS scheduler gives N equally-demanding codec
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..control import AllocationPolicy, Assignment, FleetController, make_policy
 from ..data.corpus import Compressibility
@@ -46,7 +48,7 @@ from .calibration import LINK_APP_CAPACITY, CodecSimModel
 from .engine import Environment
 from .link import SharedLink
 from .rng import RngStreams
-from .transfer import TransferResult, TransferSim
+from .transfer import TransferSim
 from .workload import SoftmaxArrivalProcess
 
 __all__ = [
@@ -198,17 +200,25 @@ class _ObservedScheme(ManagedScheme):
 
 
 class SimFleetController:
-    """Clocked process driving a :class:`FleetController` in sim time."""
+    """Clocked process driving a :class:`FleetController` in sim time.
+
+    ``after_tick`` runs once after every control pass that applied
+    assignments, i.e. after the actuator has seen all of that pass's
+    changes: the hook where a batch of per-flow knob changes is turned
+    into one fleet-wide reallocation.
+    """
 
     def __init__(
         self,
         env: Environment,
         controller: FleetController,
         interval: float,
+        after_tick: Optional[Callable[[], None]] = None,
     ) -> None:
         self.env = env
         self.controller = controller
         self.interval = interval
+        self.after_tick = after_tick
         self._stopped = False
 
     def start(self) -> "SimFleetController":
@@ -223,7 +233,8 @@ class SimFleetController:
             yield self.env.timeout(self.interval)
             if self._stopped:
                 return
-            self.controller.on_tick(self.env.now)
+            if self.controller.on_tick(self.env.now) and self.after_tick is not None:
+                self.after_tick()
 
 
 def run_fleet_scenario(
@@ -270,32 +281,33 @@ def run_fleet_scenario(
         link = SharedLink(env, capacity=link_capacity, name="nic")
 
         controller: Optional[FleetController] = None
-        sims: Dict[int, TransferSim] = {}
-        schemes: Dict[int, CompressionScheme] = {}
-        flow_specs: Dict[int, FleetFlowSpec] = {}
-        started: Dict[int, float] = {}
+        # Live flows only, in open order: a finished flow is deleted from
+        # both dicts, so Σw is summed over the live set in open order.
+        live: Dict[int, TransferSim] = {}
         weights: Dict[int, float] = {}
-        live: Dict[int, bool] = {}
 
         def recompute_shares() -> None:
-            active = [i for i, up in live.items() if up]
-            if not active:
+            # Once per batch of changes (a control pass, an arrival
+            # burst, a finish), never per change: nothing runs between
+            # the changes of one batch, so no flow reads a share that a
+            # per-change pass would have set differently.
+            if not live:
                 return
-            total = sum(weights[i] for i in active)
-            for i in active:
-                sims[i].cpu_share = min(1.0, cores * weights[i] / total)
+            total = sum(weights.values())
+            for i, sim in live.items():
+                sim.cpu_share = min(1.0, cores * weights[i] / total)
 
         if policy is not None:
             policy_obj = make_policy(policy) if isinstance(policy, str) else policy
 
             def actuate(flow_id: int, asg: Assignment) -> None:
-                scheme = schemes.get(flow_id)
-                if scheme is None:
+                # Records the knobs only; the ticker's after_tick hook
+                # reprices the shares once the whole pass is applied.
+                sim = live.get(flow_id)
+                if sim is None:
                     return  # assignment raced a flow that already drained
-                if isinstance(scheme, ManagedScheme):
-                    scheme.set_override(asg.level)
+                sim.scheme.set_override(asg.level)
                 weights[flow_id] = asg.weight
-                recompute_shares()
 
             controller = FleetController(
                 policy_obj,
@@ -305,43 +317,45 @@ def run_fleet_scenario(
                 source="sim-control",
             )
 
-        completions: Dict[int, float] = {}
-        results: Dict[int, TransferResult] = {}
+        outcomes: Dict[int, FleetFlowOutcome] = {}
         done = env.event()
-        state = {"finished": 0, "live": 0, "peak": 0, "spawned": 0}
+        state = {"peak": 0, "spawned": 0}
 
-        def run_flow(i: int):
+        def run_flow(i: int, spec: FleetFlowSpec, sim: TransferSim, started: float):
             if controller is not None:
                 controller.flow_opened(i, now=env.now)
-            result = yield from sims[i].run()
-            results[i] = result
-            completions[i] = env.now
-            live[i] = False
-            state["live"] -= 1
+            result = yield from sim.run()
+            del live[i], weights[i]
             if controller is not None:
                 controller.flow_closed(i)
             # A finished flow returns its CPU share to the pool either way.
             recompute_shares()
-            state["finished"] += 1
-            if state["finished"] == total_flows:
+            level_epochs: Dict[int, int] = {}
+            for ep in result.epochs:
+                level_epochs[ep.level] = level_epochs.get(ep.level, 0) + 1
+            outcomes[i] = FleetFlowOutcome(
+                flow_id=i,
+                name=spec.name,
+                compressibility=spec.compressibility.name,
+                completion_time=env.now,
+                app_bytes=result.total_app_bytes,
+                mean_app_rate=result.mean_app_rate,
+                level_epochs=level_epochs,
+                started_at=started,
+            )
+            if len(outcomes) == total_flows:
                 done.succeed()
 
         def spawn_flow(spec: FleetFlowSpec) -> None:
+            """Open one flow; the caller reprices shares after the burst."""
             i = state["spawned"]
             state["spawned"] += 1
-            state["live"] += 1
-            state["peak"] = max(state["peak"], state["live"])
             inner = RateBasedScheme(model.n_levels)
             scheme: CompressionScheme = (
                 _ObservedScheme(inner, controller) if controller is not None else inner
             )
-            schemes[i] = scheme
-            flow_specs[i] = spec
-            started[i] = env.now
-            weights[i] = 1.0
-            live[i] = True
             source = RepeatingSource.from_corpus(spec.compressibility, spec.total_bytes)
-            sims[i] = TransferSim(
+            sim = TransferSim(
                 env,
                 link,
                 source,
@@ -354,12 +368,15 @@ def run_fleet_scenario(
                 flow_id=i,
                 flow_name=spec.name,
             )
-            env.process(run_flow(i), name=f"{spec.name}#{i}")
-            recompute_shares()
+            live[i] = sim
+            weights[i] = 1.0
+            state["peak"] = max(state["peak"], len(live))
+            env.process(run_flow(i, spec, sim, env.now), name=f"{spec.name}#{i}")
 
         if arrivals is None:
             for spec in specs:
                 spawn_flow(spec)
+            recompute_shares()
         else:
             arrival_proc = SoftmaxArrivalProcess(
                 rngs.stream("arrivals"),
@@ -371,14 +388,16 @@ def run_fleet_scenario(
 
             def spawner():
                 while state["spawned"] < total_flows:
-                    count = arrival_proc.arrivals(env.now, state["live"])
-                    if count == 0 and state["live"] == 0:
+                    count = arrival_proc.arrivals(env.now, len(live))
+                    if count == 0 and not live:
                         # Progress guarantee: never idle with nothing
                         # live and flows still owed.
                         count = 1
                     count = min(count, total_flows - state["spawned"])
-                    for _ in range(count):
-                        spawn_flow(specs[state["spawned"] % len(specs)])
+                    if count:
+                        for _ in range(count):
+                            spawn_flow(specs[state["spawned"] % len(specs)])
+                        recompute_shares()
                     if state["spawned"] >= total_flows:
                         return
                     yield env.timeout(arrivals.interval)
@@ -386,7 +405,9 @@ def run_fleet_scenario(
             env.process(spawner(), name="fleet-arrivals")
 
         ticker = (
-            SimFleetController(env, controller, control_interval).start()
+            SimFleetController(
+                env, controller, control_interval, after_tick=recompute_shares
+            ).start()
             if controller is not None
             else None
         )
@@ -407,26 +428,15 @@ def run_fleet_scenario(
             peak_live=state["peak"],
         )
         for i in range(state["spawned"]):
-            spec = flow_specs[i]
-            res = results[i]
-            level_epochs: Dict[int, int] = {}
-            for ep in res.epochs:
-                level_epochs[ep.level] = level_epochs.get(ep.level, 0) + 1
-            fleet.flows.append(
-                FleetFlowOutcome(
-                    flow_id=i,
-                    name=spec.name,
-                    compressibility=spec.compressibility.name,
-                    completion_time=completions[i],
-                    app_bytes=res.total_app_bytes,
-                    mean_app_rate=res.mean_app_rate,
-                    level_epochs=level_epochs,
-                    started_at=started[i],
-                )
-            )
-            fleet.total_app_bytes += res.total_app_bytes
-        fleet.makespan = max(completions.values())
+            fleet.flows.append(outcomes[i])
+            fleet.total_app_bytes += outcomes[i].app_bytes
+        fleet.makespan = max(f.completion_time for f in fleet.flows)
         return fleet
     finally:
+        # Drops the ticker's pending timer and the last finished flow's
+        # process: with them gone (and ``live`` empty once every flow
+        # finished, which ends the scheme -> controller -> actuate ->
+        # flow cycle) the scenario is freed by reference counting.
+        env.close()
         if previous_clock is not None:
             BUS.clock = previous_clock

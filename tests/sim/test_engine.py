@@ -372,3 +372,65 @@ class TestRunUntilEvent:
         env.run()
         # 1 process-init event + 5 timeouts + the process-done event.
         assert env.events_processed == 7
+
+
+class TestClose:
+    def test_close_drops_pending_events_and_never_resumes(self):
+        env = Environment()
+        done = env.event()
+        resumed = []
+
+        def finisher():
+            yield env.timeout(1.0)
+            done.succeed()
+
+        def sleeper(delay):
+            yield env.timeout(delay)
+            resumed.append(delay)
+
+        env.process(finisher())
+        for delay in (5.0, 7.0):
+            env.process(sleeper(delay))
+        cancelled = env.timeout(9.0)
+        cancelled.callbacks.append(lambda e: resumed.append("timer"))
+        cancelled.cancel()
+        env.run(until=done)
+        assert env.pending_events > 0
+
+        env.close()
+        assert env.pending_events == 0
+        assert env._heap == []
+        env.run()
+        assert resumed == []
+        assert env.now == 1.0
+
+    def test_close_frees_the_environment_without_the_gc(self):
+        import gc
+        import weakref
+
+        env = Environment()
+
+        def ticker():
+            while True:
+                yield env.timeout(1.0)
+
+        env.process(ticker())
+        env.run(until=3.0)
+        ref = weakref.ref(env)
+        env.close()
+        gc.collect()
+        gc.disable()
+        try:
+            del env
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_cancel_after_close_is_noop(self):
+        env = Environment()
+        t = env.timeout(1.0)
+        t.callbacks.append(lambda e: None)
+        env.close()
+        t.cancel()
+        assert env._n_cancelled == 0
+        assert env.pending_events == 0

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import threading
+
 import pytest
 
+import repro.sim.fleet as fleet_mod
+from repro.control import FleetController
 from repro.data import Compressibility
-from repro.sim import FleetFlowSpec, run_fleet_scenario
+from repro.sim import FleetArrivalSpec, FleetFlowSpec, run_fleet_scenario
+from repro.sim.engine import Process
+from repro.sim.transfer import TransferSim
 
 MB = 10**6
+POLICIES = (None, "fair-share", "greedy-throughput", "hill-climb")
 
 
 def specs(n_high=2, n_low=1, hi=150 * MB, lo=80 * MB):
@@ -159,3 +168,164 @@ class TestOpenLoopArrivals:
             FleetArrivalSpec(total_flows=0)
         with pytest.raises(ValueError):
             FleetArrivalSpec(total_flows=5, interval=0.0)
+
+
+# -- share actuation --------------------------------------------------------
+
+
+def small_open_loop(policy):
+    """An open-loop fleet of 16 flows of 40 MB (at most 9 live): long
+    enough that every policy rebalances and greedy / hill-climb change
+    the outcome."""
+    templates = [
+        FleetFlowSpec(f"{c.name.lower()}{k}", c, 40 * MB)
+        for k in range(2)
+        for c in Compressibility
+    ]
+    arrivals = FleetArrivalSpec(
+        total_flows=16, interval=2.0, mean=6.0, swing=3.0, period=60.0
+    )
+    return run(templates, policy=policy, arrivals=arrivals, cores=1.0, seed=5)
+
+
+def completion_digest(fleet):
+    text = ",".join(f.completion_time.hex() for f in fleet.flows)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+#: (events_processed, makespan, rebalances) and completion-time digest of
+#: ``small_open_loop(policy)``, computed with the per-assignment share
+#: pass this module used before shares were batched: batching must not
+#: move a single float.
+PARITY = {
+    None: ((588, 6.616324937928543, 0), "01fe51de98827219"),
+    "fair-share": ((595, 6.616324937928543, 6), "01fe51de98827219"),
+    "greedy-throughput": ((475, 6.713856182591041, 6), "e25104c23bbe2317"),
+    "hill-climb": ((582, 7.960890642600632, 7), "5cccf014fa37b15d"),
+}
+
+
+class ShareSpy:
+    """Watches every ``cpu_share`` write of the fleet's TransferSims.
+
+    A counting TransferSim subclass is patched into ``repro.sim.fleet``
+    and ``Process._resume`` is wrapped, so ``check`` runs before every
+    process step.  Every share pass (a control pass, an arrival burst, a
+    finish) happens inside one process step, so the check between steps
+    sees the state each batch left behind.
+    """
+
+    def __init__(self, monkeypatch, cores):
+        self.cores = cores
+        self.sims = []
+        self.weights = {}
+        self.max_writes_per_step = 0
+        self.share_writes = 0
+        self.checks = 0
+        spy = self
+
+        class CountingSim(TransferSim):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.writes = 0  # the constructor's default does not count
+                self.finished = False
+                spy.sims.append(self)
+
+            @property
+            def cpu_share(self):
+                return self._share
+
+            @cpu_share.setter
+            def cpu_share(self, value):
+                self._share = value
+                self.writes = getattr(self, "writes", 0) + 1
+
+            def run(self):
+                result = yield from super().run()
+                self.finished = True
+                return result
+
+        real_tick = FleetController.on_tick
+        real_resume = Process._resume
+
+        def on_tick(controller, now):
+            applied = real_tick(controller, now)
+            for fid, asg in (applied or {}).items():
+                spy.weights[fid] = asg.weight
+            return applied
+
+        def resume(process, event):
+            spy.check()
+            return real_resume(process, event)
+
+        monkeypatch.setattr(fleet_mod, "TransferSim", CountingSim)
+        monkeypatch.setattr(FleetController, "on_tick", on_tick)
+        monkeypatch.setattr(Process, "_resume", resume)
+
+    def check(self):
+        self.checks += 1
+        live = [s for s in self.sims if not s.finished]
+        if live:
+            w = [self.weights.get(s.flow_id, 1.0) for s in live]
+            total = sum(w)
+            for sim, weight in zip(live, w):
+                assert sim.cpu_share == min(1.0, self.cores * weight / total), (
+                    f"flow {sim.flow_id} share {sim.cpu_share} is stale"
+                )
+        for sim in self.sims:
+            self.max_writes_per_step = max(self.max_writes_per_step, sim.writes)
+            self.share_writes += sim.writes
+            sim.writes = 0
+
+
+class TestShareActuation:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_matches_per_assignment_reference(self, policy):
+        fleet = small_open_loop(policy)
+        key = (fleet.events_processed, fleet.makespan, fleet.rebalances)
+        assert (key, completion_digest(fleet)) == PARITY[policy]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_shares_follow_live_weights_after_every_batch(self, monkeypatch, policy):
+        spy = ShareSpy(monkeypatch, cores=1.0)
+        fleet = small_open_loop(policy)
+        spy.check()  # the last finish is not followed by a process step
+        assert len(spy.sims) == fleet.flows_spawned == 16
+        assert all(s.finished for s in spy.sims)
+        assert spy.checks > fleet.events_processed // 2
+        assert spy.share_writes > 0
+        if policy is not None:
+            assert fleet.rebalances > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_batch_writes_each_share_at_most_once(self, monkeypatch, policy):
+        spy = ShareSpy(monkeypatch, cores=1.0)
+        small_open_loop(policy)
+        spy.check()
+        assert spy.max_writes_per_step == 1
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_scenario_leaves_nothing_for_the_cyclic_gc(self, policy):
+        arrivals = FleetArrivalSpec(
+            total_flows=20, interval=2.0, mean=6.0, swing=3.0, period=60.0
+        )
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            fleet = run(specs(hi=30 * MB, lo=20 * MB), policy=policy, arrivals=arrivals, seed=1)
+            unreachable = gc.collect()
+            in_cycles = sorted(
+                {type(o).__qualname__ for o in gc.garbage if type(o).__module__.startswith("repro.")}
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert fleet.flows_spawned == 20
+        assert in_cycles == []
+        if threading.active_count() == 1:
+            # Nothing else in the process could have made cyclic garbage.
+            assert unreachable == 0
